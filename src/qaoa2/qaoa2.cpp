@@ -69,13 +69,6 @@ std::uint64_t partition_seed(std::uint64_t base_seed, int level) {
   return base_seed + static_cast<std::uint64_t>(level) * 1000003ULL;
 }
 
-/// Enum role -> registry spec: the compatibility mapping. Every enumerator
-/// name doubles as its registry name ("best" resolves to the registry's
-/// default best-of(qaoa, gw) pairing).
-std::string resolved_spec(const std::string& spec, SubSolver fallback) {
-  return spec.empty() ? sub_solver_name(fallback) : spec;
-}
-
 solver::SolveRequest make_request(const graph::Graph& g, std::uint64_t seed,
                                   const util::RequestContext* context) {
   solver::SolveRequest request;
@@ -106,12 +99,14 @@ const solver::SolveReport& best_report(
   return *best;
 }
 
-/// Fold one part's per-arm reports into the per-kind solve counters.
+/// Fold one part's per-arm reports into the per-kind solve counters and
+/// the Σ-wall-time solve_seconds.
 void count_reports(const std::vector<solver::SolveReport>& reports,
                    Qaoa2Result& result) {
   for (const solver::SolveReport& rep : reports) {
     result.quantum_solves += rep.quantum_solves;
     result.classical_solves += rep.classical_solves;
+    result.solve_seconds += rep.wall_seconds;
   }
   ++result.subgraphs_total;
 }
@@ -167,28 +162,6 @@ void accumulate(Qaoa2Result& total, const Qaoa2Result& partial) {
 
 }  // namespace
 
-const char* sub_solver_name(SubSolver solver) noexcept {
-  switch (solver) {
-    case SubSolver::kQaoa: return "qaoa";
-    case SubSolver::kGw: return "gw";
-    case SubSolver::kBest: return "best";
-    case SubSolver::kExact: return "exact";
-    case SubSolver::kAnneal: return "anneal";
-    case SubSolver::kLocalSearch: return "local-search";
-    case SubSolver::kRqaoa: return "rqaoa";
-  }
-  return "?";
-}
-
-std::optional<SubSolver> parse_sub_solver(std::string_view name) noexcept {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    if (name == sub_solver_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 std::uint64_t component_seed(std::uint64_t seed, std::size_t component,
                              std::size_t num_components) noexcept {
   if (num_components <= 1) return seed;
@@ -212,35 +185,21 @@ Qaoa2Driver::Qaoa2Driver(const Qaoa2Options& options) : options_(options) {
   }
   const solver::SolverDefaults defaults = solver_defaults();
   const solver::SolverRegistry& registry = solver::SolverRegistry::global();
-  const std::string sub_spec =
-      resolved_spec(options_.sub_solver_spec, options_.sub_solver);
-  const std::string deeper_spec =
-      resolved_spec(options_.deeper_solver_spec, options_.deeper_solver);
-  const std::string merge_spec =
-      resolved_spec(options_.merge_solver_spec, options_.merge_solver);
-  sub_ = registry.make(sub_spec, defaults);
-  deeper_ = registry.make(deeper_spec, defaults);
-  merge_ = registry.make(merge_spec, defaults);
+  sub_ = registry.make(options_.sub_solver_spec, defaults);
+  deeper_ = registry.make(options_.deeper_solver_spec, defaults);
+  merge_ = registry.make(options_.merge_solver_spec, defaults);
   // Cache keys: spec + digest of the defaults the spec refines, so two
   // drivers sharing "qaoa" but configured with different layers/shots/...
   // never alias one cache entry.
   const std::string suffix = defaults_digest_hex(defaults);
-  sub_key_ = sub_spec + suffix;
-  deeper_key_ = deeper_spec + suffix;
-  merge_key_ = merge_spec + suffix;
+  sub_key_ = options_.sub_solver_spec + suffix;
+  deeper_key_ = options_.deeper_solver_spec + suffix;
+  merge_key_ = options_.merge_solver_spec + suffix;
   if (!merge_->children().empty()) {
     throw std::invalid_argument(
         "Qaoa2Driver: merge solver cannot be a best-of combinator (the "
         "coarse graph gets exactly one solve)");
   }
-}
-
-maxcut::CutResult Qaoa2Driver::solve_subgraph(const graph::Graph& g,
-                                              SubSolver which,
-                                              std::uint64_t seed) const {
-  const solver::SolverPtr s = solver::SolverRegistry::global().make(
-      sub_solver_name(which), solver_defaults());
-  return s->solve(make_request(g, seed, options_.context)).cut;
 }
 
 solver::SolveReport Qaoa2Driver::dispatch_solve(
@@ -525,14 +484,10 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   /// the next level — all while other components' tasks keep flowing.
   void finish_level(ComponentRun& c, int level) {
     StreamFrame& f = c.frames[static_cast<std::size_t>(level)];
-    Qaoa2Result& r = c.partial;
     f.locals.resize(f.parts.size());
     for (std::size_t i = 0; i < f.parts.size(); ++i) {
       f.locals[i] = best_report(f.reports[i]).cut.assignment;
-      count_reports(f.reports[i], r);
-      for (const solver::SolveReport& rep : f.reports[i]) {
-        r.solve_seconds += rep.wall_seconds;
-      }
+      count_reports(f.reports[i], c.partial);
     }
     graph::Graph coarse = build_merge_graph(f.graph, f.parts, f.locals);
     start_level(c, level + 1, std::move(coarse));
@@ -581,9 +536,9 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
 };
 
 // ---------------------------------------------------------------------------
-// Level-barrier recursion (streaming off): the reference pipeline. One
-// engine batch per level; every seed matches the streaming pipeline's, so
-// the two produce bit-for-bit identical cuts.
+// Level-barrier recursion (streaming off): the reference pipeline. Each
+// level submits its sub-solves and drains the engine; every seed matches
+// the streaming pipeline's, so the two produce bit-for-bit identical cuts.
 
 void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
                               std::uint64_t base_seed,
@@ -627,8 +582,6 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
   std::vector<std::vector<solver::SolveReport>> reports(
       parts.size(), std::vector<solver::SolveReport>(arms.size()));
 
-  std::vector<sched::Task> tasks;
-  tasks.reserve(parts.size() * arms.size());
   const util::RequestContext* context = options_.context;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const std::uint64_t seed = mix_seed(base_seed, level, i);
@@ -641,11 +594,12 @@ void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
             *arms[a], arm_keys[a],
             make_request(subgraphs[i].graph, seed, context));
       };
-      tasks.push_back(std::move(task));
+      engine.submit(std::move(task));
     }
   }
-  const sched::BatchReport report = engine.run_batch(std::move(tasks));
-  result.solve_seconds += report.busy_seconds;
+  // The level barrier: this solve owns the engine, so draining it waits
+  // for exactly this level's tasks (and rethrows the first failure).
+  engine.drain();
 
   std::vector<maxcut::Assignment> locals(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {

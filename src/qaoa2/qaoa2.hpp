@@ -5,9 +5,10 @@
 // classical solvers, merge via the signed coarse graph, and recurse until
 // the coarse problem fits on one device.
 //
-// The hybrid selection the paper studies (§3.6/Fig. 4) is the SubSolver
-// knob: all-QAOA ("QAOA"), all-GW ("Classic"), or per-sub-graph best of
-// both ("Best").
+// Every solver role is named by a registry spec (solver/registry.hpp). The
+// hybrid selection the paper studies (§3.6/Fig. 4) is the sub-solver spec:
+// all-QAOA `qaoa` ("QAOA"), all-GW `gw` ("Classic"), or per-sub-graph best
+// of both `best:qaoa|gw` ("Best").
 //
 // The solve is sharded by connected component and (by default) STREAMED:
 // every component flows partition -> sub-solves -> merge -> coarse
@@ -22,7 +23,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,20 +39,6 @@
 
 namespace qq::qaoa2 {
 
-/// Compatibility shim over the solver registry (solver/registry.hpp): each
-/// enumerator maps onto the registry spec of the same name ("qaoa", "gw",
-/// "best", ...). New code should prefer the spec-string fields of
-/// Qaoa2Options, which reach every registered backend and its parameters.
-enum class SubSolver {
-  kQaoa,         ///< quantum (simulated) — Fig. 4 "QAOA"
-  kGw,           ///< classical Goemans-Williamson — Fig. 4 "Classic"
-  kBest,         ///< run both, keep the better cut — Fig. 4 "Best"
-  kExact,        ///< brute force (tests / small parts)
-  kAnneal,       ///< simulated annealing
-  kLocalSearch,  ///< one-exchange with restarts
-  kRqaoa,        ///< recursive QAOA (extension)
-};
-
 struct Qaoa2Options {
   /// Qubit budget n of the (simulated) devices; also the partition cap.
   int max_qubits = 12;
@@ -60,22 +46,19 @@ struct Qaoa2Options {
   /// outlook motivates trying others — see bench_ablation_partition).
   graph::PartitionMethod partition_method =
       graph::PartitionMethod::kGreedyModularity;
+  // The three solver roles, each a registry spec (e.g.
+  // "qaoa:p=3,shots=512", "best:qaoa|gw", "anneal:sweeps=400") reaching
+  // every backend registered with SolverRegistry; an empty spec is
+  // malformed. The driver's `qaoa`/`gw` option structs below are the
+  // defaults the specs refine.
   /// Solver for the first-level sub-graphs.
-  SubSolver sub_solver = SubSolver::kQaoa;
+  std::string sub_solver_spec = "qaoa";
   /// Solver for deeper recursion levels. The paper: "In case of further
   /// iterations in the QAOA^2 method, the classical solution is chosen."
-  SubSolver deeper_solver = SubSolver::kGw;
-  /// Solver for the coarse merge graphs (paper step 5 uses QAOA).
-  SubSolver merge_solver = SubSolver::kQaoa;
-  /// Registry spec strings (e.g. "qaoa:p=3,shots=512", "best:qaoa|gw",
-  /// "anneal:sweeps=400"); when non-empty they override the corresponding
-  /// enum above and reach every backend registered with SolverRegistry.
-  /// The driver's `qaoa`/`gw` option structs below are the defaults the
-  /// specs refine. The merge spec must not be a best-of combinator (the
-  /// coarse graph gets exactly one solve).
-  std::string sub_solver_spec;
-  std::string deeper_solver_spec;
-  std::string merge_solver_spec;
+  std::string deeper_solver_spec = "gw";
+  /// Solver for the coarse merge graphs (paper step 5 uses QAOA). Must not
+  /// be a best-of combinator (the coarse graph gets exactly one solve).
+  std::string merge_solver_spec = "qaoa";
   qaoa::QaoaOptions qaoa;  ///< configuration of every QAOA sub-solve
   sdp::GwOptions gw;       ///< configuration of every GW sub-solve
   /// Simulated device count / classical worker slots for the parallel
@@ -157,18 +140,11 @@ class Qaoa2Driver {
   using DoneFn = std::function<void(Qaoa2Result, std::exception_ptr)>;
 
   /// Resolves the three solver roles through SolverRegistry::global() and
-  /// validates the specs (std::invalid_argument on malformed or unknown
-  /// ones, and when the merge solver is a best-of combinator).
+  /// validates the specs (std::invalid_argument on empty, malformed or
+  /// unknown ones, and when the merge solver is a best-of combinator).
   explicit Qaoa2Driver(const Qaoa2Options& options);
 
   const Qaoa2Options& options() const noexcept { return options_; }
-
-  /// Solve one sub-graph with a specific solver — compatibility shim over
-  /// the registry (exposed for the knowledge base / selection benchmarks):
-  /// equivalent to `SolverRegistry::global().make(sub_solver_name(solver),
-  /// defaults-from-options)` followed by solve at `seed`.
-  maxcut::CutResult solve_subgraph(const graph::Graph& g, SubSolver solver,
-                                   std::uint64_t seed) const;
 
   /// The SolverDefaults the driver's specs refine: its QaoaOptions /
   /// GwOptions plus the RQAOA cutoff min(max_qubits, 8).
@@ -245,11 +221,6 @@ class Qaoa2Driver {
 
 /// Convenience wrapper.
 Qaoa2Result solve_qaoa2(const graph::Graph& g, const Qaoa2Options& options = {});
-
-const char* sub_solver_name(SubSolver solver) noexcept;
-
-/// Round-trip inverse of sub_solver_name; nullopt for unknown names.
-std::optional<SubSolver> parse_sub_solver(std::string_view name) noexcept;
 
 /// Base seed of component `component` of `num_components` in a sharded
 /// solve. Identity for a single-component (connected) graph — sharding must

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "maxcut/exact.hpp"
 #include "qaoa2/merge.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
+#include "solver/registry.hpp"
 #include "test_graphs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -106,7 +108,7 @@ TEST(Qaoa2, SmallGraphBypassesPartitioning) {
   const Graph g = graph::erdos_renyi(8, 0.4, rng);
   Qaoa2Options opts;
   opts.max_qubits = 12;
-  opts.sub_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_EQ(r.subgraphs_total, 1);
   EXPECT_DOUBLE_EQ(r.cut.value, maxcut::solve_exact(g).value);
@@ -126,8 +128,8 @@ TEST(Qaoa2, ExactSubSolverWithExactMergeIsNearExactOnClustered) {
   const Graph g = graph::planted_partition(3, 6, 0.85, 0.05, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   const double exact = maxcut::solve_exact(g).value;
   EXPECT_GE(r.cut.value, 0.9 * exact);
@@ -139,8 +141,8 @@ TEST(Qaoa2, ReportedValueMatchesAssignment) {
   const Graph g = graph::erdos_renyi(30, 0.15, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
 }
@@ -152,8 +154,8 @@ TEST(Qaoa2, MergeWithExactCoarseSolverNeverHurtsLocals) {
   const Graph g = graph::erdos_renyi(26, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 13;
   const Qaoa2Result r = solve_qaoa2(g, opts);
   // Reconstruct the unflipped lift with the same seeds.
@@ -169,7 +171,7 @@ TEST(Qaoa2, QaoaSubSolverEndToEnd) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   opts.seed = 17;
@@ -184,10 +186,10 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
   const Graph g = graph::erdos_renyi(20, 0.25, rng);
   Qaoa2Options opts;
   opts.max_qubits = 7;
-  opts.sub_solver = SubSolver::kBest;
+  opts.sub_solver_spec = "best";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GT(r.quantum_solves, 0);
   EXPECT_GT(r.classical_solves, 0);
@@ -195,17 +197,24 @@ TEST(Qaoa2, BestModeRunsBothKindsOfSolves) {
 
 TEST(Qaoa2, BestModeDominatesSingleModesPerSubgraph) {
   // On each sub-graph, best-of(QAOA, GW) >= each individually; sanity-check
-  // via the driver's public per-subgraph API.
+  // with registry solvers built on the driver's defaults, as its sub-solves
+  // are.
   util::Rng rng(17);
   const Graph g = graph::erdos_renyi(10, 0.3, rng);
   Qaoa2Options opts;
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 40;
   const Qaoa2Driver driver(opts);
-  const auto q = driver.solve_subgraph(g, SubSolver::kQaoa, 5);
-  const auto c = driver.solve_subgraph(g, SubSolver::kGw, 5);
-  const auto b = driver.solve_subgraph(g, SubSolver::kBest, 5);
-  EXPECT_GE(b.value, std::max(q.value, c.value) - 1e-12);
+  const auto solve = [&](const char* spec) {
+    return solver::SolverRegistry::global()
+        .make(spec, driver.solver_defaults())
+        ->solve({&g, 5})
+        .cut.value;
+  };
+  const double q = solve("qaoa");
+  const double c = solve("gw");
+  const double b = solve("best:qaoa|gw");
+  EXPECT_GE(b, std::max(q, c) - 1e-12);
 }
 
 TEST(Qaoa2, DeepRecursionTerminatesWithTinyDevices) {
@@ -213,9 +222,9 @@ TEST(Qaoa2, DeepRecursionTerminatesWithTinyDevices) {
   const Graph g = graph::erdos_renyi(60, 0.08, rng);
   Qaoa2Options opts;
   opts.max_qubits = 4;  // forces multiple levels
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
-  opts.deeper_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
+  opts.deeper_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   EXPECT_GE(r.levels, 2);
   EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
@@ -226,7 +235,7 @@ TEST(Qaoa2, DeterministicPerSeed) {
   const Graph g = graph::erdos_renyi(24, 0.2, rng);
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 30;
   opts.seed = 23;
@@ -239,17 +248,16 @@ TEST(Qaoa2, DeterministicPerSeed) {
 TEST(Qaoa2, EverySubSolverBackendRuns) {
   util::Rng rng(23);
   const Graph g = graph::erdos_renyi(14, 0.3, rng);
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
+  for (const char* spec :
+       {"qaoa", "gw", "exact", "anneal", "local-search", "rqaoa"}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
-    opts.sub_solver = s;
+    opts.sub_solver_spec = spec;
     opts.qaoa.layers = 1;
     opts.qaoa.max_iterations = 20;
-    opts.merge_solver = SubSolver::kLocalSearch;
+    opts.merge_solver_spec = "local-search";
     const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_GT(r.cut.value, 0.0) << sub_solver_name(s);
+    EXPECT_GT(r.cut.value, 0.0) << spec;
   }
 }
 
@@ -258,8 +266,8 @@ TEST(Qaoa2, LevelStatsAreConsistent) {
   const Graph g = graph::erdos_renyi(40, 0.12, rng);
   Qaoa2Options opts;
   opts.max_qubits = 8;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   const Qaoa2Result r = solve_qaoa2(g, opts);
   ASSERT_FALSE(r.level_stats.empty());
   const LevelStats& top = r.level_stats.front();
@@ -286,27 +294,16 @@ TEST(Qaoa2, OptionValidation) {
   opts.max_qubits = 1;
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
   opts = Qaoa2Options{};
-  opts.merge_solver = SubSolver::kBest;
+  opts.merge_solver_spec = "best";
   EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
-}
-
-TEST(Qaoa2, SolverNamesAreStable) {
-  EXPECT_STREQ(sub_solver_name(SubSolver::kQaoa), "qaoa");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kGw), "gw");
-  EXPECT_STREQ(sub_solver_name(SubSolver::kBest), "best");
-}
-
-TEST(Qaoa2, ParseSubSolverRoundTrips) {
-  for (const SubSolver s :
-       {SubSolver::kQaoa, SubSolver::kGw, SubSolver::kBest, SubSolver::kExact,
-        SubSolver::kAnneal, SubSolver::kLocalSearch, SubSolver::kRqaoa}) {
-    const auto parsed = parse_sub_solver(sub_solver_name(s));
-    ASSERT_TRUE(parsed.has_value()) << sub_solver_name(s);
-    EXPECT_EQ(*parsed, s);
+  // Every role must be named: an empty spec is malformed.
+  for (std::string Qaoa2Options::*role :
+       {&Qaoa2Options::sub_solver_spec, &Qaoa2Options::deeper_solver_spec,
+        &Qaoa2Options::merge_solver_spec}) {
+    opts = Qaoa2Options{};
+    opts.*role = "";
+    EXPECT_THROW(Qaoa2Driver{opts}, std::invalid_argument);
   }
-  EXPECT_FALSE(parse_sub_solver("").has_value());
-  EXPECT_FALSE(parse_sub_solver("QAOA").has_value());
-  EXPECT_FALSE(parse_sub_solver("goemans").has_value());
 }
 
 // ------------------------------------------------- component sharding ----
@@ -332,8 +329,8 @@ TEST(Qaoa2, DisconnectedGraphShardsToIndependentComponentSolves) {
 
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kLocalSearch;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "local-search";
+  opts.merge_solver_spec = "exact";
   opts.seed = 31;
 
   for (const bool streaming : {true, false}) {
@@ -367,8 +364,8 @@ TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
   const Graph g(9);  // no edges at all, but > max_qubits nodes
   Qaoa2Options opts;
   opts.max_qubits = 4;
-  opts.sub_solver = SubSolver::kExact;
-  opts.merge_solver = SubSolver::kExact;
+  opts.sub_solver_spec = "exact";
+  opts.merge_solver_spec = "exact";
   for (const bool streaming : {true, false}) {
     opts.streaming = streaming;
     const Qaoa2Result r = solve_qaoa2(g, opts);
@@ -388,10 +385,10 @@ TEST(Qaoa2, StreamingMatchesRecursiveBitForBit) {
   for (const Graph* g : {&connected, &disconnected}) {
     Qaoa2Options opts;
     opts.max_qubits = 6;
-    opts.sub_solver = SubSolver::kQaoa;
+    opts.sub_solver_spec = "qaoa";
     opts.qaoa.layers = 2;
     opts.qaoa.max_iterations = 25;
-    opts.merge_solver = SubSolver::kGw;
+    opts.merge_solver_spec = "gw";
     opts.seed = 33;
     opts.streaming = false;
     const Qaoa2Result recursive = solve_qaoa2(*g, opts);
@@ -422,10 +419,10 @@ TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   const Graph g = disconnected_test_graph();
   Qaoa2Options opts;
   opts.max_qubits = 6;
-  opts.sub_solver = SubSolver::kQaoa;
+  opts.sub_solver_spec = "qaoa";
   opts.qaoa.layers = 2;
   opts.qaoa.max_iterations = 20;
-  opts.merge_solver = SubSolver::kGw;
+  opts.merge_solver_spec = "gw";
   opts.seed = 35;
   const Qaoa2Result reference = solve_qaoa2(g, opts);  // default pool
   for (const std::size_t threads : {1u, 3u, 8u}) {

@@ -211,6 +211,30 @@ TEST(Service, TypedRejections) {
   EXPECT_EQ(stats.in_flight, 0u);
 }
 
+TEST(Service, EmptySolverSpecRejectsOnDirectAndDecomposedPaths) {
+  // An empty spec names no solver, whichever path would serve the request.
+  SolveService service(ServiceOptions{});
+  for (const int max_qubits : {0, 6}) {
+    ServiceRequest req;
+    req.graph = ring(20);
+    req.solver_spec = "";
+    req.max_qubits = max_qubits;
+    const RequestTicket t = service.submit(std::move(req));
+    EXPECT_EQ(t.status(), RequestStatus::kRejected)
+        << "max_qubits=" << max_qubits;
+    EXPECT_EQ(t.outcome().reject_reason, RejectReason::kInvalidRequest)
+        << "max_qubits=" << max_qubits;
+  }
+  // Empty deeper/merge specs still select the QAOA^2 defaults.
+  ServiceRequest deco;
+  deco.graph = ring(20);
+  deco.solver_spec = "gw";
+  deco.max_qubits = 6;
+  const RequestTicket t = service.submit(std::move(deco));
+  service.wait(t);
+  EXPECT_EQ(t.status(), RequestStatus::kCompleted);
+}
+
 // --------------------------------------------------------- cancellation ----
 
 TEST(Service, CancelStopsARunningSolveMidIteration) {
