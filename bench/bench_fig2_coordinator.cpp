@@ -6,8 +6,7 @@
 // The sub-solver series are registry specs (any backend + parameters):
 //
 //   ./bench_fig2_coordinator [--nodes 120] [--prob 0.1] [--qubits 9]
-//                            [--solver qaoa:p=2] [--components 4]
-//                            [--list-solvers]
+//                            [--solver qaoa:p=2] [--list-solvers]
 //
 #include <algorithm>
 #include <cstdio>
@@ -114,50 +113,6 @@ int main(int argc, char** argv) {
                        1)});
   }
   std::printf("\n%s\n", table.str().c_str());
-
-  // Part 3: streaming vs level-barrier pipeline on a multi-component graph
-  // with skewed component sizes — the shape where cross-level streaming
-  // keeps the slots saturated while a slow component's sub-graphs drain.
-  const int num_components = args.get_int("components", 4);
-  qq::util::Rng comp_rng(seed + 99);
-  std::vector<qq::graph::Graph> blobs;
-  int total_nodes = 0;
-  for (int c = 0; c < num_components; ++c) {
-    const int n = c == 0 ? nodes / 2 : nodes / (2 * std::max(1, num_components - 1));
-    blobs.push_back(qq::graph::erdos_renyi(
-        static_cast<qq::graph::NodeId>(n), prob, comp_rng));
-    total_nodes += n;
-  }
-  qq::graph::Graph multi(static_cast<qq::graph::NodeId>(total_nodes));
-  int offset = 0;
-  for (const auto& blob : blobs) {
-    for (const qq::graph::Edge& e : blob.edges()) {
-      multi.add_edge(e.u + offset, e.v + offset, e.w);
-    }
-    offset += blob.num_nodes();
-  }
-  qq::util::Table stream_table(
-      {"pipeline", "cut", "wall s", "engine tasks", "queue wait s"});
-  for (const bool streaming : {false, true}) {
-    qq::qaoa2::Qaoa2Options opts;
-    opts.max_qubits = qubits;
-    opts.sub_solver_spec = solvers.front();
-    opts.qaoa.layers = 3;
-    opts.merge_solver_spec = "gw";
-    opts.seed = seed;
-    opts.engine = qq::sched::EngineOptions{4, 4};
-    opts.streaming = streaming;
-    qq::util::Timer timer;
-    const auto r = qq::qaoa2::solve_qaoa2(multi, opts);
-    stream_table.add_row({streaming ? "streaming" : "level barrier",
-                          qq::util::format_double(r.cut.value, 1),
-                          qq::util::format_double(timer.seconds(), 3),
-                          std::to_string(r.engine_tasks),
-                          qq::util::format_double(r.queue_wait_seconds, 3)});
-  }
-  std::printf("multi-component pipeline (%d components, %d nodes, identical "
-              "cuts by construction):\n%s\n",
-              num_components, total_nodes, stream_table.str().c_str());
 
   std::printf("paper claim: \"the overhead incurred by the coordination of "
               "the various sub-graph solutions is minimal\" — the pure "

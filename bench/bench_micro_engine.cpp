@@ -25,8 +25,6 @@
 //                   engine. Sleeps model device latency, so the overlap win
 //                   is measurable even on one core; the coarse-before-last-
 //                   leaf count proves cross-level overlap structurally.
-//   qaoa2_streaming Real QAOA^2 on a 4-component graph, level-barrier vs
-//                   streaming pipeline (identical cuts by construction).
 //
 //   ./bench_micro_engine [--reps 5] [--threads 8] [--quick]
 //
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "qaoa/qaoa.hpp"
-#include "qaoa2/qaoa2.hpp"
 #include "qgraph/generators.hpp"
 #include "sched/engine.hpp"
 #include "util/cli.hpp"
@@ -339,68 +336,6 @@ StreamedResult run_streamed_components(int reps) {
   return out;
 }
 
-// ------------------------------------------------------------ qaoa2 stream --
-struct PipelineResult {
-  double barrier_wall_s = 0.0;
-  double streaming_wall_s = 0.0;
-  double cut_barrier = 0.0;
-  double cut_streaming = 0.0;
-  int components = 0;
-  int engine_tasks = 0;
-};
-
-PipelineResult run_qaoa2_streaming(int reps, int budget) {
-  // Four components with skewed sizes: one 36-node blob that needs two
-  // levels plus three 12-node blobs that finish early and stream their
-  // coarse levels while the big one is still solving.
-  qq::util::Rng rng(41);
-  std::vector<qq::graph::Graph> blobs;
-  blobs.push_back(qq::graph::erdos_renyi(64, 0.15, rng));
-  for (int i = 0; i < 3; ++i) {
-    blobs.push_back(qq::graph::erdos_renyi(18, 0.3, rng));
-  }
-  int total = 0;
-  for (const auto& b : blobs) total += b.num_nodes();
-  qq::graph::Graph g(static_cast<qq::graph::NodeId>(total));
-  int offset = 0;
-  for (const auto& b : blobs) {
-    for (const qq::graph::Edge& e : b.edges()) {
-      g.add_edge(e.u + offset, e.v + offset, e.w);
-    }
-    offset += b.num_nodes();
-  }
-
-  qq::qaoa2::Qaoa2Options opts;
-  opts.max_qubits = 14;
-  opts.sub_solver_spec = "qaoa";
-  opts.qaoa.layers = 2;
-  opts.qaoa.max_iterations = budget;
-  opts.qaoa.shots = 256;
-  opts.merge_solver_spec = "gw";
-  opts.seed = 43;
-  opts.engine = qq::sched::EngineOptions{2, 4};
-
-  PipelineResult out;
-  std::vector<double> barrier_walls, streaming_walls;
-  for (int rep = 0; rep < reps; ++rep) {
-    opts.streaming = false;
-    qq::util::Timer t0;
-    const auto barrier = qq::qaoa2::solve_qaoa2(g, opts);
-    barrier_walls.push_back(t0.seconds());
-    opts.streaming = true;
-    qq::util::Timer t1;
-    const auto streaming = qq::qaoa2::solve_qaoa2(g, opts);
-    streaming_walls.push_back(t1.seconds());
-    out.cut_barrier = barrier.cut.value;
-    out.cut_streaming = streaming.cut.value;
-    out.components = streaming.components;
-    out.engine_tasks = streaming.engine_tasks;
-  }
-  out.barrier_wall_s = median_of(barrier_walls);
-  out.streaming_wall_s = median_of(streaming_walls);
-  return out;
-}
-
 // ------------------------------------------------------------ alloc churn --
 struct AllocResult {
   double bytes_per_eval = 0.0;
@@ -477,12 +412,6 @@ int main(int argc, char** argv) {
                   ? stream.barrier_wall_s / stream.streaming_wall_s
                   : 0.0,
               stream.overlapped_coarse, 4, stream.tasks);
-
-  const PipelineResult pipe = run_qaoa2_streaming(reps, quick ? 6 : 40);
-  std::printf("qaoa2_streaming  barrier %.3f s   streaming %.3f s   cuts "
-              "%.1f/%.1f (must match)   components %d   engine tasks %d\n",
-              pipe.barrier_wall_s, pipe.streaming_wall_s, pipe.cut_barrier,
-              pipe.cut_streaming, pipe.components, pipe.engine_tasks);
 
   const AllocResult alloc = run_alloc_churn(quick ? 8 : 30);
   std::printf("alloc_churn      %.0f bytes/eval   %.1f allocs/eval   "

@@ -153,7 +153,8 @@ std::string reproducer_snippet(const Scenario& scenario,
      << "#include \"maxcut/cut.hpp\"\n"
      << "#include \"qaoa2/qaoa2.hpp\"\n"
      << "#include \"qgraph/graph.hpp\"\n"
-     << "#include \"solver/registry.hpp\"\n\n"
+     << "#include \"solver/registry.hpp\"\n"
+     << "#include \"util/thread_pool.hpp\"\n\n"
      << "int main() {\n"
      << "  qq::graph::Graph g(" << scenario.graph.num_nodes() << ");\n";
   for (const graph::Edge& e : scenario.graph.edges()) {
@@ -179,12 +180,14 @@ std::string reproducer_snippet(const Scenario& scenario,
        << "  opts.qaoa.shots = 64;\n"
        << "  opts.gw.slicings = 6;\n"
        << "  opts.seed = " << scenario.solve_seed << "ULL;\n"
-       << "  const auto streaming = qq::qaoa2::solve_qaoa2(g, opts);\n"
-       << "  opts.streaming = false;\n"
-       << "  const auto recursive = qq::qaoa2::solve_qaoa2(g, opts);\n"
-       << "  std::printf(\"streaming=%.17g recursive=%.17g recount=%.17g\\n\",\n"
-       << "              streaming.cut.value, recursive.cut.value,\n"
-       << "              qq::maxcut::cut_value(g, streaming.cut.assignment));\n";
+       << "  qq::util::ThreadPool wide(8), narrow(1);\n"
+       << "  opts.engine.pool = &wide;\n"
+       << "  const auto width8 = qq::qaoa2::solve_qaoa2(g, opts);\n"
+       << "  opts.engine.pool = &narrow;\n"
+       << "  const auto width1 = qq::qaoa2::solve_qaoa2(g, opts);\n"
+       << "  std::printf(\"width1=%.17g width8=%.17g recount=%.17g\\n\",\n"
+       << "              width1.cut.value, width8.cut.value,\n"
+       << "              qq::maxcut::cut_value(g, width8.cut.assignment));\n";
   }
   os << "  return 0;\n}\n";
   return os.str();

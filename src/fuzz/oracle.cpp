@@ -12,6 +12,7 @@
 #include "maxcut/exact.hpp"
 #include "qaoa2/qaoa2.hpp"
 #include "solver/registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qq::fuzz {
 
@@ -296,7 +297,21 @@ void check_solver_scenario(const Scenario& s, const OracleOptions& opts,
 
 // ---------------------------------------------------- qaoa2 probes ----
 
-qaoa2::Qaoa2Options qaoa2_options(const Scenario& s, bool streaming) {
+/// Process-lifetime engine pools of the QAOA^2 probes: every probe runs on
+/// the width-8 pool, and the schedule-parity re-solve on the width-1 pool,
+/// so the two runs see different task interleavings.
+util::ThreadPool& wide_pool() {
+  static util::ThreadPool pool(8);
+  return pool;
+}
+
+util::ThreadPool& narrow_pool() {
+  static util::ThreadPool pool(1);
+  return pool;
+}
+
+qaoa2::Qaoa2Options qaoa2_options(const Scenario& s,
+                                  util::ThreadPool& pool = wide_pool()) {
   qaoa2::Qaoa2Options opts;
   opts.max_qubits = s.max_qubits;
   opts.sub_solver_spec = s.spec;
@@ -309,7 +324,7 @@ qaoa2::Qaoa2Options qaoa2_options(const Scenario& s, bool streaming) {
   opts.qaoa.shots = 64;
   opts.gw.slicings = 6;
   opts.seed = s.solve_seed;
-  opts.streaming = streaming;
+  opts.engine.pool = &pool;
   return opts;
 }
 
@@ -391,45 +406,43 @@ bool same_result(const qaoa2::Qaoa2Result& a, const qaoa2::Qaoa2Result& b) {
 void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
                           std::vector<Violation>& out) {
   const Graph& g = s.graph;
-  qaoa2::Qaoa2Result streaming;
+  qaoa2::Qaoa2Result main_run;
   try {
-    streaming = qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/true));
+    main_run = qaoa2::solve_qaoa2(g, qaoa2_options(s));
   } catch (const std::exception& e) {
-    add(out, "solve_throws",
-        std::string("streaming qaoa2 threw: ") + e.what());
+    add(out, "solve_throws", std::string("qaoa2 threw: ") + e.what());
     return;
   } catch (...) {
-    add(out, "solve_throws", "streaming qaoa2 threw a non-std exception");
+    add(out, "solve_throws", "qaoa2 threw a non-std exception");
     return;
   }
 
-  check_cut(g, streaming.cut, "streaming qaoa2", out);
-  check_qaoa2_counts(g, streaming, out);
+  check_cut(g, main_run.cut, "qaoa2", out);
+  check_qaoa2_counts(g, main_run, out);
 
-  if (opts.check_stream_parity) {
+  if (opts.check_schedule_parity) {
     try {
-      const qaoa2::Qaoa2Result recursive =
-          qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/false));
-      if (!same_result(streaming, recursive)) {
-        add(out, "stream_parity",
-            "streaming (" + fmt(streaming.cut.value) + ") and recursive (" +
-                fmt(recursive.cut.value) +
-                ") pipelines disagree (value, assignment, or stats)");
+      const qaoa2::Qaoa2Result serial =
+          qaoa2::solve_qaoa2(g, qaoa2_options(s, narrow_pool()));
+      if (!same_result(main_run, serial)) {
+        add(out, "schedule_parity",
+            "width-8 (" + fmt(main_run.cut.value) + ") and width-1 (" +
+                fmt(serial.cut.value) +
+                ") engine pools disagree (value, assignment, or stats)");
       }
     } catch (const std::exception& e) {
-      add(out, "stream_parity",
-          std::string("recursive pipeline threw where streaming succeeded: ") +
+      add(out, "schedule_parity",
+          std::string("width-1 pool threw where width 8 succeeded: ") +
               e.what());
     }
   }
 
   if (opts.check_determinism) {
-    const qaoa2::Qaoa2Result again =
-        qaoa2::solve_qaoa2(g, qaoa2_options(s, /*streaming=*/true));
-    if (!same_result(streaming, again)) {
+    const qaoa2::Qaoa2Result again = qaoa2::solve_qaoa2(g, qaoa2_options(s));
+    if (!same_result(main_run, again)) {
       add(out, "determinism",
-          "same-seed streaming qaoa2 runs disagree: " +
-              fmt(streaming.cut.value) + " then " + fmt(again.cut.value));
+          "same-seed qaoa2 runs disagree: " + fmt(main_run.cut.value) +
+              " then " + fmt(again.cut.value));
     }
   }
 
@@ -438,22 +451,22 @@ void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
     // not perturb the pipeline: the cold (filling) run and the warm
     // (hit-serving) rerun both match the uncached result bit-for-bit.
     cache::SolveCache cache;
-    qaoa2::Qaoa2Options copts = qaoa2_options(s, /*streaming=*/true);
+    qaoa2::Qaoa2Options copts = qaoa2_options(s);
     copts.solve_cache = &cache;
     try {
       const qaoa2::Qaoa2Result cold = qaoa2::solve_qaoa2(g, copts);
-      if (!same_result(streaming, cold)) {
+      if (!same_result(main_run, cold)) {
         add(out, "cache_coherence",
             "cache-enabled qaoa2 (" + fmt(cold.cut.value) +
                 ") differs from the uncached run (" +
-                fmt(streaming.cut.value) + ")");
+                fmt(main_run.cut.value) + ")");
       }
       const qaoa2::Qaoa2Result warm = qaoa2::solve_qaoa2(g, copts);
-      if (!same_result(streaming, warm)) {
+      if (!same_result(main_run, warm)) {
         add(out, "cache_coherence",
             "hit-serving cache-enabled qaoa2 (" + fmt(warm.cut.value) +
                 ") differs from the uncached run (" +
-                fmt(streaming.cut.value) + ")");
+                fmt(main_run.cut.value) + ")");
       }
     } catch (const std::exception& e) {
       add(out, "cache_coherence",
@@ -462,10 +475,8 @@ void check_qaoa2_scenario(const Scenario& s, const OracleOptions& opts,
   }
 
   check_exact_and_relabel(
-      s, opts, streaming.cut,
-      [&](const Graph& h) {
-        return qaoa2::solve_qaoa2(h, qaoa2_options(s, /*streaming=*/true)).cut;
-      },
+      s, opts, main_run.cut,
+      [&](const Graph& h) { return qaoa2::solve_qaoa2(h, qaoa2_options(s)).cut; },
       out);
 }
 

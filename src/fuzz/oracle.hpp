@@ -15,7 +15,8 @@
 //                  to the same value on the original graph; the exact
 //                  optimum value is additionally invariant
 //   exact_bound    exact >= any heuristic (n <= exact_max_nodes)
-//   stream_parity  QAOA^2 streaming == recursive bit-for-bit
+//   schedule_parity  QAOA^2 on a width-1 engine pool == the width-8 main
+//                  run bit-for-bit (cut, assignment, counts, level stats)
 //   cache_coherence  routing the solve through a seed-sensitive SolveCache
 //                  (warm starts off) is bit-for-bit identical to the
 //                  uncached solve; a repeat of the same request HITS and
@@ -50,9 +51,9 @@ struct OracleOptions {
   int exact_max_nodes = 16;
   bool check_determinism = true;
   bool check_relabel = true;
-  /// QAOA^2 probes: compare the streaming pipeline against the recursive
-  /// reference bit-for-bit.
-  bool check_stream_parity = true;
+  /// QAOA^2 probes: re-solve on a width-1 engine pool and compare against
+  /// the width-8 main run bit-for-bit (the task schedule must not matter).
+  bool check_schedule_parity = true;
   /// Cache probes: cache-routed solves must equal uncached ones bit-for-bit
   /// and isomorphic hits must map back to valid assignments.
   bool check_cache_coherence = true;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -295,48 +296,45 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
         tags_(tags),
         done_(std::move(done)) {}
 
-  /// Synchronous entry: shard on the caller-computed components, submit
-  /// every component's root task, and drain the engine. Throws the first
-  /// task error, if any (the engine's drain semantics, unchanged).
-  void run(std::vector<std::vector<graph::NodeId>> components) {
-    components_ = std::move(components);
-    start_components();
-    engine_.drain();
-  }
-
-  /// Asynchronous entry: submit one classical PLANNING task that computes
-  /// the component sharding (O(V+E) — off the caller's thread) and fans
-  /// out from there; `done_` fires when the last task settles.
+  /// The one entry, shared by solve() and solve_async(): submit one
+  /// classical PLANNING task that computes the component sharding (O(V+E),
+  /// off the caller's thread) and fans out from there.
   void start() {
     submit_task(sched::ResourceKind::kClassical, [this] {
-      if (graph_.num_nodes() <= options_.max_qubits) {
-        // Mirror the synchronous fits-on-device fast path — ONE solve of
-        // the whole graph — so async results match solve() bit-for-bit.
-        components_count_ =
-            static_cast<int>(graph::connected_components(graph_).size());
-        runs_.resize(1);
-        ComponentRun& c = runs_.front();
-        c.base_seed = options_.seed;
-        c.to_global.resize(static_cast<std::size_t>(graph_.num_nodes()));
-        for (std::size_t j = 0; j < c.to_global.size(); ++j) {
-          c.to_global[j] = static_cast<graph::NodeId>(j);
-        }
-        const solver::Solver& s = *driver_.sub_;
-        submit_task(s.resource_kind(), [this, &c] {
-          c.assignment = driver_
-                             .solve_fitting_level(graph_, 0, c.base_seed,
-                                                  c.partial, tags_.context)
-                             .assignment;
-        });
+      components_ = graph::connected_components(graph_);
+      if (graph_.num_nodes() > options_.max_qubits) {
+        start_components();
         return;
       }
-      components_ = graph::connected_components(graph_);
-      components_count_ = static_cast<int>(components_.size());
-      start_components();
+      // The graph fits on one device: ONE solve of the whole graph, with
+      // no sharding, still reporting its true component count.
+      runs_.resize(1);
+      ComponentRun& c = runs_.front();
+      c.base_seed = options_.seed;
+      c.to_global.resize(static_cast<std::size_t>(graph_.num_nodes()));
+      std::iota(c.to_global.begin(), c.to_global.end(), graph::NodeId{0});
+      start_level(c, 0, graph_);
     });
   }
 
-  const std::vector<ComponentRun>& runs() const noexcept { return runs_; }
+  /// The whole-solve result assembled from the component runs. Every task
+  /// body writes its run before the engine counts the task finished, so
+  /// this is complete after engine.drain() and in the last settle.
+  Qaoa2Result collect() const {
+    Qaoa2Result result;
+    result.components = static_cast<int>(components_.size());
+    maxcut::Assignment global(static_cast<std::size_t>(graph_.num_nodes()), 0);
+    for (const ComponentRun& run : runs_) {
+      accumulate(result, run.partial);
+      for (std::size_t j = 0; j < run.to_global.size(); ++j) {
+        global[static_cast<std::size_t>(run.to_global[j])] = run.assignment[j];
+      }
+    }
+    result.cut.assignment = std::move(global);
+    result.cut.value = maxcut::cut_value(graph_, result.cut.assignment);
+    result.engine_tasks = submitted_;
+    return result;
+  }
 
  private:
   void start_components() {
@@ -401,28 +399,14 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   }
 
   void finish() {
-    if (!done_) return;  // synchronous run(): drain() delivers instead
-    Qaoa2Result result;
+    if (!done_) return;  // synchronous solve(): it collects after drain()
     std::exception_ptr err;
     {
       util::MutexLock lock(error_mutex_);
       err = first_error_;
     }
-    if (!err) {
-      result.components = components_count_;
-      maxcut::Assignment global(static_cast<std::size_t>(graph_.num_nodes()),
-                                0);
-      for (const ComponentRun& run : runs_) {
-        accumulate(result, run.partial);
-        for (std::size_t j = 0; j < run.to_global.size(); ++j) {
-          global[static_cast<std::size_t>(run.to_global[j])] =
-              run.assignment[j];
-        }
-      }
-      result.cut.assignment = std::move(global);
-      result.cut.value = maxcut::cut_value(graph_, result.cut.assignment);
-      result.engine_tasks = submitted_;
-    }
+    Qaoa2Result result;
+    if (!err) result = collect();
     // Move the callback out before invoking: done handlers may destroy the
     // service-side record that owns the last external reference to us.
     Qaoa2Driver::DoneFn done = std::move(done_);
@@ -524,9 +508,8 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   sched::WorkflowEngine& engine_;
   const graph::Graph& graph_;
   SolveTags tags_;
-  Qaoa2Driver::DoneFn done_;  ///< empty in synchronous mode
+  Qaoa2Driver::DoneFn done_;  ///< empty for the synchronous solve()
   std::vector<std::vector<graph::NodeId>> components_;
-  int components_count_ = 0;
   std::vector<ComponentRun> runs_;
   /// Pipeline tasks not yet settled; the 1 -> 0 transition fires `done_`.
   std::atomic<int> outstanding_{0};
@@ -535,157 +518,26 @@ class StreamPipeline : public std::enable_shared_from_this<StreamPipeline> {
   std::exception_ptr first_error_ QQ_GUARDED_BY(error_mutex_);
 };
 
-// ---------------------------------------------------------------------------
-// Level-barrier recursion (streaming off): the reference pipeline. Each
-// level submits its sub-solves and drains the engine; every seed matches
-// the streaming pipeline's, so the two produce bit-for-bit identical cuts.
-
-void Qaoa2Driver::solve_level(const graph::Graph& g, int level,
-                              std::uint64_t base_seed,
-                              sched::WorkflowEngine& engine,
-                              Qaoa2Result& result,
-                              maxcut::Assignment& out_assignment) const {
-  result.levels = std::max(result.levels, level + 1);
-
-  // Base case: the whole (coarse) graph fits on a device.
-  if (g.num_nodes() <= options_.max_qubits) {
-    out_assignment =
-        solve_fitting_level(g, level, base_seed, result, options_.context)
-            .assignment;
-    return;
-  }
-
-  // Divide (paper step 2).
-  graph::PartitionOptions popts;
-  popts.max_nodes = options_.max_qubits;
-  popts.method = options_.partition_method;
-  popts.seed = partition_seed(base_seed, level);
-  const auto parts = graph::partition_max_size(g, popts);
-  if (static_cast<graph::NodeId>(parts.size()) >= g.num_nodes()) {
-    // Cannot happen with the partitioner's no-progress fallback; guard the
-    // recursion against any future partitioner that degenerates.
-    throw std::runtime_error("Qaoa2Driver: partition made no progress");
-  }
-
-  LevelStats stats = make_level_stats(level, parts);
-
-  // Conquer (paper step 3): every sub-graph in parallel through the
-  // coordinator/worker engine, one task per solver arm (a best-of fans out
-  // one quantum and one classical task per part — paper §3.6/Fig. 4
-  // "Best").
-  const auto subgraphs = graph::induced_batch(g, parts, &engine.pool());
-  const std::vector<const solver::Solver*> arms =
-      solver_arms(level_solver(level));
-  const std::vector<std::string> arm_keys =
-      arm_solver_keys(level, arms.size());
-
-  std::vector<std::vector<solver::SolveReport>> reports(
-      parts.size(), std::vector<solver::SolveReport>(arms.size()));
-
-  const util::RequestContext* context = options_.context;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const std::uint64_t seed = mix_seed(base_seed, level, i);
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      sched::Task task;
-      task.kind = arms[a]->resource_kind();
-      task.work = [this, &subgraphs, &reports, &arms, &arm_keys, i, a, seed,
-                   context] {
-        reports[i][a] = dispatch_solve(
-            *arms[a], arm_keys[a],
-            make_request(subgraphs[i].graph, seed, context));
-      };
-      engine.submit(std::move(task));
-    }
-  }
-  // The level barrier: this solve owns the engine, so draining it waits
-  // for exactly this level's tasks (and rethrows the first failure).
-  engine.drain();
-
-  std::vector<maxcut::Assignment> locals(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    locals[i] = best_report(reports[i]).cut.assignment;
-    count_reports(reports[i], result);
-  }
-
-  // Merge (paper step 4) and recurse on the coarse graph (step 5). The
-  // final coarse solve goes through the same fitting path as the base case
-  // (solve_level's base case), so its level is recorded in level_stats too.
-  const graph::Graph coarse = build_merge_graph(g, parts, locals);
-  maxcut::Assignment coarse_assignment;
-  solve_level(coarse, level + 1, base_seed, engine, result, coarse_assignment);
-
-  out_assignment =
-      apply_flips(g.num_nodes(), parts, locals, coarse_assignment);
-  stats.level_cut = maxcut::cut_value(g, out_assignment);
-  result.level_stats.push_back(stats);
-}
-
 Qaoa2Result Qaoa2Driver::solve(const graph::Graph& g) const {
   util::Timer wall;
-  Qaoa2Result result;
-
-  // A graph that fits on one device needs no engine at all. It is still
-  // reported with its true component count so `components` means the same
-  // thing on both paths (found by the fuzz oracle: a 2-node edgeless graph
-  // claimed components == 1).
-  if (g.num_nodes() <= options_.max_qubits) {
-    result.components =
-        static_cast<int>(graph::connected_components(g).size());
-    result.cut.assignment =
-        solve_fitting_level(g, 0, options_.seed, result, options_.context)
-            .assignment;
-    result.cut.value = maxcut::cut_value(g, result.cut.assignment);
-    return result;
-  }
-
-  // Shard by connected component: components share no edges, so they are
-  // independent MaxCut instances with independent seed streams.
-  const auto components = graph::connected_components(g);
-  result.components = static_cast<int>(components.size());
-
   // ONE engine (and one pool) for the entire solve.
   sched::WorkflowEngine engine(options_.engine);
-  maxcut::Assignment global(static_cast<std::size_t>(g.num_nodes()), 0);
-
-  if (options_.streaming) {
-    SolveTags tags;
-    tags.context = options_.context;
-    auto pipeline = std::make_shared<StreamPipeline>(*this, engine, g, tags,
-                                                     Qaoa2Driver::DoneFn{});
-    pipeline->run(components);
-    for (const ComponentRun& run : pipeline->runs()) {
-      accumulate(result, run.partial);
-      for (std::size_t j = 0; j < run.to_global.size(); ++j) {
-        global[static_cast<std::size_t>(run.to_global[j])] =
-            run.assignment[j];
-      }
-    }
-  } else {
-    for (std::size_t ci = 0; ci < components.size(); ++ci) {
-      graph::Subgraph sub = g.induced(components[ci]);
-      const std::uint64_t base_seed =
-          component_seed(options_.seed, ci, components.size());
-      Qaoa2Result partial;
-      maxcut::Assignment assignment;
-      solve_level(sub.graph, 0, base_seed, engine, partial, assignment);
-      accumulate(result, partial);
-      for (std::size_t j = 0; j < sub.to_global.size(); ++j) {
-        global[static_cast<std::size_t>(sub.to_global[j])] = assignment[j];
-      }
-    }
-  }
+  const auto pipeline = std::make_shared<StreamPipeline>(
+      *this, engine, g, SolveTags{.context = options_.context}, DoneFn{});
+  pipeline->start();
+  // drain() rethrows the first task error. The result is read here, not in
+  // a done callback: the engine runs a task's settle callback only after it
+  // stops counting the task, so drain() can return before the last settle.
+  engine.drain();
+  Qaoa2Result result = pipeline->collect();
 
   const sched::EngineStats estats = engine.stats();
-  result.engine_tasks = static_cast<int>(estats.completed);
   result.queue_wait_seconds = estats.queue_wait_seconds;
   const double ideal = sched::ideal_parallel_seconds(
       estats.busy_quantum_seconds, estats.busy_classical_seconds,
       estats.quantum_tasks, estats.classical_tasks, options_.engine,
       std::max<std::size_t>(std::size_t{1}, engine.pool().size()));
   result.coordination_seconds = std::max(0.0, wall.seconds() - ideal);
-
-  result.cut.assignment = std::move(global);
-  result.cut.value = maxcut::cut_value(g, result.cut.assignment);
   return result;
 }
 

@@ -10,14 +10,15 @@
 // all-QAOA `qaoa` ("QAOA"), all-GW `gw` ("Classic"), or per-sub-graph best
 // of both `best:qaoa|gw` ("Best").
 //
-// The solve is sharded by connected component and (by default) STREAMED:
-// every component flows partition -> sub-solves -> merge -> coarse
-// solve/recursion as a chain of dependent tasks on ONE persistent
-// WorkflowEngine, so a component whose sub-solves finish starts its coarse
-// level while other components' sub-graphs are still running. The
-// level-barrier recursive pipeline is retained (`streaming = false`) as a
-// reference; both produce bit-for-bit identical cuts because every
-// sub-problem's seed is a pure function of (component, level, part).
+// The solve is sharded by connected component and STREAMED: every
+// component flows partition -> sub-solves -> merge -> coarse
+// solve/recursion as a chain of dependent tasks on ONE WorkflowEngine, so a
+// component whose sub-solves finish starts its coarse level while other
+// components' sub-graphs are still running. `solve` and `solve_async` enter
+// this one pipeline the same way (a planning task) and differ only in who
+// owns the engine. Every sub-problem's seed is a pure function of
+// (component, level, part), so the cut does not depend on the task
+// schedule or the engine's pool width.
 
 #include <cstdint>
 #include <exception>
@@ -64,10 +65,6 @@ struct Qaoa2Options {
   /// Simulated device count / classical worker slots for the parallel
   /// sub-graph fan-out (Fig. 2).
   sched::EngineOptions engine;
-  /// Stream components and recursion levels through one persistent
-  /// dependency-aware engine (default). `false` selects the level-barrier
-  /// recursive pipeline; the cut is bit-for-bit identical either way.
-  bool streaming = true;
   /// Cooperative stop state threaded into every sub-solve (viewed, not
   /// owned; may be null). A stopped context unwinds the remaining task
   /// graph as cancelled; results are unchanged while it never trips.
@@ -116,13 +113,18 @@ struct Qaoa2Result {
   /// Connected components of the input graph (the sharding granularity
   /// when the graph exceeds the device; 0 for the empty graph).
   int components = 0;
-  /// Tasks executed by the workflow engine (0 when the graph fit on one
-  /// device and no engine was needed).
+  /// Tasks the solve submitted to the workflow engine: its planning task
+  /// plus every extract, sub-solve, merge and fitting-solve task (2 when the
+  /// graph fits on one device).
   int engine_tasks = 0;
   double solve_seconds = 0.0;         ///< wall time in sub-graph solvers
-  double coordination_seconds = 0.0;  ///< engine overhead (Fig. 2 claim)
+  /// Engine overhead (Fig. 2 claim): wall time minus the ideal parallel
+  /// drain time of the engine's busy work. Synchronous `solve` only (0 from
+  /// `solve_async`, whose engine other solves share).
+  double coordination_seconds = 0.0;
   /// Σ per-task queue wait (slot wait + pool queueing) across every engine
-  /// task — the time sub-solves spent ready-but-not-running.
+  /// task — the time sub-solves spent ready-but-not-running. Synchronous
+  /// `solve` only, like coordination_seconds.
   double queue_wait_seconds = 0.0;
   std::vector<LevelStats> level_stats;  ///< ordered by level, ascending
 };
@@ -150,6 +152,9 @@ class Qaoa2Driver {
   /// GwOptions plus the RQAOA cutoff min(max_qubits, 8).
   solver::SolverDefaults solver_defaults() const;
 
+  /// Synchronous solve on an engine of its own (`options().engine`):
+  /// starts the pipeline exactly as `solve_async` does, drains the engine
+  /// and rethrows the first task error.
   Qaoa2Result solve(const graph::Graph& g) const;
 
   /// Asynchronous solve on a CALLER-owned engine: submits a planning task
@@ -157,11 +162,11 @@ class Qaoa2Driver {
   /// engine under `tags` (fair-share class, cancellation group, stop
   /// context) and `done` fires once when the last task settles. Many
   /// concurrent solves — of many drivers — multiplex one engine this way;
-  /// `options().engine` and `options().streaming` are ignored. The graph,
-  /// the driver, and the engine must outlive the solve; the returned
-  /// handle keeps the pipeline state alive and is safe to drop (the
-  /// in-flight tasks co-own it). Results for a given (options, seed) match
-  /// the synchronous `solve` bit-for-bit when the context never trips.
+  /// `options().engine` is ignored. The graph, the driver, and the engine
+  /// must outlive the solve; the returned handle keeps the pipeline state
+  /// alive and is safe to drop (the in-flight tasks co-own it). Results for
+  /// a given (options, seed) match the synchronous `solve` bit-for-bit when
+  /// the context never trips.
   std::shared_ptr<StreamPipeline> solve_async(sched::WorkflowEngine& engine,
                                               const graph::Graph& g,
                                               const SolveTags& tags,
@@ -179,11 +184,6 @@ class Qaoa2Driver {
                                         Qaoa2Result& result,
                                         const util::RequestContext* context)
       const;
-
-  /// Level-barrier recursion over one connected component (streaming off).
-  void solve_level(const graph::Graph& g, int level, std::uint64_t base_seed,
-                   sched::WorkflowEngine& engine, Qaoa2Result& result,
-                   maxcut::Assignment& out_assignment) const;
 
   /// The registry-built solver serving a partitioned level: sub_ at level
   /// 0, deeper_ below.

@@ -16,6 +16,7 @@
 
 #include "qaoa/qaoa.hpp"
 #include "qaoa2/qaoa2.hpp"
+#include "qaoa2_pins.hpp"
 #include "qgraph/generators.hpp"
 #include "qsim/kernel_detail.hpp"
 #include "qsim/measure.hpp"
@@ -104,11 +105,12 @@ TEST(NestedParallel, EngineQaoaOptimizeMatchesDirectBitForBit) {
   EXPECT_EQ(through_engine.cut.assignment, direct.cut.assignment);
 }
 
-TEST(NestedParallel, StreamingQaoa2MatchesRecursiveWithNestedKernels) {
+TEST(NestedParallel, StreamingQaoa2MatchesRecordedPinsWithNestedKernels) {
   // Full QAOA^2 with QAOA sub-solves on the pinned 4-thread pool: the
   // streaming pipeline interleaves components and levels arbitrarily and
-  // nests every state-vector kernel inside engine tasks, yet the cut must
-  // equal the level-barrier recursive pipeline's bit for bit.
+  // nests every state-vector kernel inside engine tasks, yet the result
+  // must equal the level-barrier recursive pipeline's recorded capture
+  // (tests/qaoa2_pins.hpp) bit for bit, through both entries.
   util::Rng rng(101);
   graph::Graph g(40);
   // Two components of different depth-to-solve (24 + 16 nodes).
@@ -127,16 +129,14 @@ TEST(NestedParallel, StreamingQaoa2MatchesRecursiveWithNestedKernels) {
   opts.seed = 57;
   opts.engine = sched::EngineOptions{2, 2};
 
-  opts.streaming = false;
-  const qaoa2::Qaoa2Result recursive = qaoa2::solve_qaoa2(g, opts);
-  opts.streaming = true;
-  const qaoa2::Qaoa2Result streaming = qaoa2::solve_qaoa2(g, opts);
+  const testing::Qaoa2Pin pin = {
+      71.0, 0x511ea8d84fULL, 3, 19, 15, 4,
+      {{0, 15, 71.0}, {1, 3, 7.0}, {2, 1, 0.0}}};
+  testing::expect_both_entries_match_pin(g, opts, pin, "two components");
 
-  EXPECT_EQ(streaming.cut.value, recursive.cut.value);
-  EXPECT_EQ(streaming.cut.assignment, recursive.cut.assignment);
-  EXPECT_EQ(streaming.components, 2);
-  EXPECT_EQ(streaming.subgraphs_total, recursive.subgraphs_total);
-  EXPECT_GT(streaming.engine_tasks, streaming.subgraphs_total)
+  const qaoa2::Qaoa2Result r = qaoa2::solve_qaoa2(g, opts);
+  EXPECT_EQ(r.components, 2);
+  EXPECT_GT(r.engine_tasks, r.subgraphs_total)
       << "partition/merge stages should run as engine tasks";
 }
 

@@ -10,6 +10,7 @@
 #include "maxcut/exact.hpp"
 #include "qaoa2/merge.hpp"
 #include "qaoa2/qaoa2.hpp"
+#include "qaoa2_pins.hpp"
 #include "qgraph/generators.hpp"
 #include "solver/registry.hpp"
 #include "test_graphs.hpp"
@@ -119,6 +120,9 @@ TEST(Qaoa2, SmallGraphBypassesPartitioning) {
   EXPECT_EQ(r.level_stats[0].num_parts, 1);
   EXPECT_EQ(r.level_stats[0].largest_part, g.num_nodes());
   EXPECT_NEAR(r.level_stats[0].level_cut, r.cut.value, 1e-12);
+  // Both entries count the planning task plus the one fitting solve.
+  EXPECT_EQ(r.engine_tasks, 2);
+  EXPECT_EQ(testing::solve_async_and_wait(g, opts).engine_tasks, 2);
 }
 
 TEST(Qaoa2, ExactSubSolverWithExactMergeIsNearExactOnClustered) {
@@ -333,31 +337,27 @@ TEST(Qaoa2, DisconnectedGraphShardsToIndependentComponentSolves) {
   opts.merge_solver_spec = "exact";
   opts.seed = 31;
 
-  for (const bool streaming : {true, false}) {
-    opts.streaming = streaming;
-    const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_EQ(r.components, 4);
-    EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
+  const Qaoa2Result r = solve_qaoa2(g, opts);
+  EXPECT_EQ(r.components, 4);
+  EXPECT_NEAR(maxcut::cut_value(g, r.cut.assignment), r.cut.value, 1e-9);
 
-    // Sharding must reproduce, per component, exactly what an independent
-    // solve of that component (seeded with its component_seed) produces.
-    double sum = 0.0;
-    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
-      const graph::Subgraph sub = g.induced(comps[ci]);
-      Qaoa2Options copts = opts;
-      copts.seed = component_seed(opts.seed, ci, comps.size());
-      const Qaoa2Result rc = solve_qaoa2(sub.graph, copts);
-      sum += rc.cut.value;
-      ASSERT_EQ(rc.cut.assignment.size(), comps[ci].size());
-      for (std::size_t j = 0; j < comps[ci].size(); ++j) {
-        EXPECT_EQ(r.cut.assignment[static_cast<std::size_t>(comps[ci][j])],
-                  rc.cut.assignment[j])
-            << "component " << ci << " node " << j
-            << " streaming=" << streaming;
-      }
+  // Sharding must reproduce, per component, exactly what an independent
+  // solve of that component (seeded with its component_seed) produces.
+  double sum = 0.0;
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    const graph::Subgraph sub = g.induced(comps[ci]);
+    Qaoa2Options copts = opts;
+    copts.seed = component_seed(opts.seed, ci, comps.size());
+    const Qaoa2Result rc = solve_qaoa2(sub.graph, copts);
+    sum += rc.cut.value;
+    ASSERT_EQ(rc.cut.assignment.size(), comps[ci].size());
+    for (std::size_t j = 0; j < comps[ci].size(); ++j) {
+      EXPECT_EQ(r.cut.assignment[static_cast<std::size_t>(comps[ci][j])],
+                rc.cut.assignment[j])
+          << "component " << ci << " node " << j;
     }
-    EXPECT_NEAR(r.cut.value, sum, 1e-9);
   }
+  EXPECT_NEAR(r.cut.value, sum, 1e-9);
 }
 
 TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
@@ -366,50 +366,37 @@ TEST(Qaoa2, IsolatedNodesOnlyGraphSolvesTrivially) {
   opts.max_qubits = 4;
   opts.sub_solver_spec = "exact";
   opts.merge_solver_spec = "exact";
-  for (const bool streaming : {true, false}) {
-    opts.streaming = streaming;
-    const Qaoa2Result r = solve_qaoa2(g, opts);
-    EXPECT_EQ(r.components, 9);
-    EXPECT_DOUBLE_EQ(r.cut.value, 0.0);
-    EXPECT_EQ(r.cut.assignment,
-              maxcut::Assignment(static_cast<std::size_t>(g.num_nodes()), 0));
-  }
+  const Qaoa2Result r = solve_qaoa2(g, opts);
+  EXPECT_EQ(r.components, 9);
+  EXPECT_DOUBLE_EQ(r.cut.value, 0.0);
+  EXPECT_EQ(r.cut.assignment,
+            maxcut::Assignment(static_cast<std::size_t>(g.num_nodes()), 0));
 }
 
-// -------------------------------------- streaming-vs-recursive parity ----
+// ------------------------------------------- recorded pipeline pins ----
 
-TEST(Qaoa2, StreamingMatchesRecursiveBitForBit) {
+TEST(Qaoa2, StreamingMatchesRecordedPins) {
+  // Captured from the level-barrier recursive pipeline (tests/qaoa2_pins.hpp)
+  // on ER(26, 0.2) at rng 29 and the disconnected fixture; the level cuts
+  // are integral because every edge weight is 1.
+  const testing::Qaoa2Pin connected_pin = {
+      56.0, 0x0313c6e6ULL, 2, 7, 6, 1, {{0, 6, 56.0}, {1, 1, 10.0}}};
+  const testing::Qaoa2Pin disconnected_pin = {
+      47.0, 0x0ec4079eULL, 2, 11, 9, 2, {{0, 9, 47.0}, {1, 2, 1.0}}};
   util::Rng rng(29);
   const Graph connected = graph::erdos_renyi(26, 0.2, rng);
   const Graph disconnected = disconnected_test_graph();
-  for (const Graph* g : {&connected, &disconnected}) {
-    Qaoa2Options opts;
-    opts.max_qubits = 6;
-    opts.sub_solver_spec = "qaoa";
-    opts.qaoa.layers = 2;
-    opts.qaoa.max_iterations = 25;
-    opts.merge_solver_spec = "gw";
-    opts.seed = 33;
-    opts.streaming = false;
-    const Qaoa2Result recursive = solve_qaoa2(*g, opts);
-    opts.streaming = true;
-    const Qaoa2Result streaming = solve_qaoa2(*g, opts);
-    EXPECT_EQ(streaming.cut.value, recursive.cut.value);
-    EXPECT_EQ(streaming.cut.assignment, recursive.cut.assignment);
-    EXPECT_EQ(streaming.levels, recursive.levels);
-    EXPECT_EQ(streaming.subgraphs_total, recursive.subgraphs_total);
-    EXPECT_EQ(streaming.quantum_solves, recursive.quantum_solves);
-    EXPECT_EQ(streaming.classical_solves, recursive.classical_solves);
-    ASSERT_EQ(streaming.level_stats.size(), recursive.level_stats.size());
-    for (std::size_t i = 0; i < recursive.level_stats.size(); ++i) {
-      EXPECT_EQ(streaming.level_stats[i].level,
-                recursive.level_stats[i].level);
-      EXPECT_EQ(streaming.level_stats[i].num_parts,
-                recursive.level_stats[i].num_parts);
-      EXPECT_EQ(streaming.level_stats[i].level_cut,
-                recursive.level_stats[i].level_cut);
-    }
-  }
+  Qaoa2Options opts;
+  opts.max_qubits = 6;
+  opts.sub_solver_spec = "qaoa";
+  opts.qaoa.layers = 2;
+  opts.qaoa.max_iterations = 25;
+  opts.merge_solver_spec = "gw";
+  opts.seed = 33;
+  testing::expect_both_entries_match_pin(connected, opts, connected_pin,
+                                         "connected");
+  testing::expect_both_entries_match_pin(disconnected, opts, disconnected_pin,
+                                         "disconnected");
 }
 
 TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
@@ -428,14 +415,10 @@ TEST(Qaoa2, StreamingBitForBitAcrossEnginePoolWidths) {
   for (const std::size_t threads : {1u, 3u, 8u}) {
     util::ThreadPool pool(threads);
     opts.engine.pool = &pool;
-    for (const bool streaming : {true, false}) {
-      opts.streaming = streaming;
-      const Qaoa2Result r = solve_qaoa2(g, opts);
-      EXPECT_EQ(r.cut.value, reference.cut.value)
-          << "threads=" << threads << " streaming=" << streaming;
-      EXPECT_EQ(r.cut.assignment, reference.cut.assignment)
-          << "threads=" << threads << " streaming=" << streaming;
-    }
+    const Qaoa2Result r = solve_qaoa2(g, opts);
+    EXPECT_EQ(r.cut.value, reference.cut.value) << "threads=" << threads;
+    EXPECT_EQ(r.cut.assignment, reference.cut.assignment)
+        << "threads=" << threads;
   }
 }
 

@@ -330,8 +330,7 @@ struct ParityPin {
 // Cut values/assignments captured from the PRE-registry Qaoa2Driver (commit
 // 5598203, enum-switch dispatch) on erdos_renyi(26, 0.2, rng(29)) and the
 // disconnected fixture, max_qubits 6, qaoa p=2/25 iters, gw merge, seed 33.
-// The registry-dispatch driver must reproduce them bit-for-bit, streaming
-// on and off. Solve counts are the POST-fix accounting: the old driver
+// The registry-dispatch driver must reproduce them bit-for-bit. Solve counts are the POST-fix accounting: the old driver
 // tallied a best-of fitting solve as one classical solve (the disconnected
 // best row read quantum=7); the combinator now reports both children, which
 // is the only intended accounting change (disc best quantum 7 -> 9 for the
@@ -351,29 +350,24 @@ TEST(Qaoa2Parity, RegistryDispatchPinsToPreRefactorCuts) {
   const Graph connected = graph::erdos_renyi(26, 0.2, rng);
   const Graph disconnected = disconnected_test_graph();
   for (const ParityPin& pin : kParityPins) {
-    for (const bool streaming : {false, true}) {
-      qaoa2::Qaoa2Options opts = parity_options();
-      opts.streaming = streaming;
-      opts.sub_solver_spec = pin.solver;
+    qaoa2::Qaoa2Options opts = parity_options();
+    opts.sub_solver_spec = pin.solver;
 
-      const qaoa2::Qaoa2Result conn = qaoa2::solve_qaoa2(connected, opts);
-      EXPECT_DOUBLE_EQ(conn.cut.value, pin.conn_value)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(maxcut::bits_from_assignment(conn.cut.assignment),
-                pin.conn_bits)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(conn.quantum_solves, pin.conn_quantum) << pin.solver;
-      EXPECT_EQ(conn.classical_solves, pin.conn_classical) << pin.solver;
+    const qaoa2::Qaoa2Result conn = qaoa2::solve_qaoa2(connected, opts);
+    EXPECT_DOUBLE_EQ(conn.cut.value, pin.conn_value) << pin.solver;
+    EXPECT_EQ(maxcut::bits_from_assignment(conn.cut.assignment),
+              pin.conn_bits)
+        << pin.solver;
+    EXPECT_EQ(conn.quantum_solves, pin.conn_quantum) << pin.solver;
+    EXPECT_EQ(conn.classical_solves, pin.conn_classical) << pin.solver;
 
-      const qaoa2::Qaoa2Result disc = qaoa2::solve_qaoa2(disconnected, opts);
-      EXPECT_DOUBLE_EQ(disc.cut.value, pin.disc_value)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(maxcut::bits_from_assignment(disc.cut.assignment),
-                pin.disc_bits)
-          << pin.solver << " streaming=" << streaming;
-      EXPECT_EQ(disc.quantum_solves, pin.disc_quantum) << pin.solver;
-      EXPECT_EQ(disc.classical_solves, pin.disc_classical) << pin.solver;
-    }
+    const qaoa2::Qaoa2Result disc = qaoa2::solve_qaoa2(disconnected, opts);
+    EXPECT_DOUBLE_EQ(disc.cut.value, pin.disc_value) << pin.solver;
+    EXPECT_EQ(maxcut::bits_from_assignment(disc.cut.assignment),
+              pin.disc_bits)
+        << pin.solver;
+    EXPECT_EQ(disc.quantum_solves, pin.disc_quantum) << pin.solver;
+    EXPECT_EQ(disc.classical_solves, pin.disc_classical) << pin.solver;
   }
 }
 
